@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.serve import OverloadError, ServingRuntime
 
+from pipeline import K
 from spans import pct
 
 #: p99 latency limit (ms): the runtime's default ``slo_ms``.
@@ -93,7 +94,7 @@ RUNTIME_FIELDS = ("completed", "batches", "refreshes", "refresh_s",
 
 
 def run_level(service, name: str, rate: float, duration_s: float,
-              draw_users, rng, *, k: int = 10, keep_every: int = 0,
+              draw_users, rng, *, keep_every: int = 0,
               refresher=None) -> Level:
     """Send Poisson(``rate``) requests for ``duration_s`` seconds.
 
@@ -105,14 +106,14 @@ def run_level(service, name: str, rate: float, duration_s: float,
     runtime = ServingRuntime(service).start()
     try:
         level = _drive(runtime, name, rate, duration_s, draw_users, rng,
-                       k, keep_every, refresher)
+                       keep_every, refresher)
     finally:
         runtime.stop()
     level.stats = {f: getattr(runtime.stats, f) for f in RUNTIME_FIELDS}
     return level
 
 
-def _drive(runtime, name, rate, duration_s, draw_users, rng, k, keep_every,
+def _drive(runtime, name, rate, duration_s, draw_users, rng, keep_every,
            refresher) -> Level:
     level = Level(name, rate)
     handles, late = [], []
@@ -142,7 +143,7 @@ def _drive(runtime, name, rate, duration_s, draw_users, rng, k, keep_every,
                 now = clock()
             late.append(now - due_i)
             try:
-                handles.append((due_i, runtime.submit(users[i], k=k)))
+                handles.append((due_i, runtime.submit(users[i], k=K)))
             except OverloadError:
                 level.shed += 1
         else:

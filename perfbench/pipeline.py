@@ -55,15 +55,24 @@ BATCH = 1024
 NEGATIVES = 64
 K = 10
 #: set-ups per run; ``setup_s`` is their median
-SETUP_REPEATS = 3
-#: evaluation passes per run (at least this many, and at least
-#: EVAL_MIN_S seconds of them); ``eval_users_per_s`` uses their median
-EVAL_REPEATS = 3
-EVAL_MIN_S = 3.0
-#: users sampled for the final served-vs-exact comparison
+SETUP_REPEATS = 5
+#: an evaluation pass runs after every this many training steps, outside
+#: the step timer, so that evaluation is timed across the whole training
+#: window rather than in one stretch a slow spell of the machine can fill
+EVAL_EVERY = 10
+#: users sampled for the final served-vs-exact comparison, compared in
+#: chunks of CHECK_CHUNK so that the check's own score matrices stay
+#: below the pipeline's peak resident set
 CHECK_USERS = 512
+CHECK_CHUNK = 64
 #: rungs of the goodput ladder, as multiples of the workload's capacity
 LADDER = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0)
+#: the model is evaluated and served as it stood after this many
+#: training steps, however many more the time window allows, so quality
+#: and serving cost do not depend on training speed
+PUBLISH_STEP = 40
+#: a training window runs at least this many steps
+MIN_TRAIN_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -81,10 +90,6 @@ class Profile:
     train_share: float       # share of --seconds spent training
     cache_size: int          # result LRU entries; 0 disables the cache
     eval_users: int = 0      # held-out users (scale data only)
-    #: the model is evaluated and served as it stood after this many
-    #: training steps, however many more the time window allows, so
-    #: quality and serving cost do not depend on training speed
-    publish_step: int = 40
 
 
 PROFILES = {p.name: p for p in (
@@ -97,6 +102,11 @@ PROFILES = {p.name: p for p in (
 
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def minor_faults() -> int:
+    """Page faults of the process so far that needed no disk read."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 # ----------------------------------------------------------------------
@@ -174,10 +184,13 @@ def build_train_side(p: Profile, inputs: Inputs, seed: int) -> TrainSide:
     def batches():
         while True:
             yield from trainer.sampler.epoch()
-    side = TrainSide(model, trainer, evaluator, batches())
-    for _ in range(2):  # warm BLAS, allocator and propagation caches
-        trainer.train_step(next(side.stream))
-    return side
+    return TrainSide(model, trainer, evaluator, batches())
+
+
+def warm_up(side: TrainSide) -> None:
+    """Two untimed steps: warm BLAS, the allocator and propagation caches."""
+    for _ in range(2):
+        side.trainer.train_step(next(side.stream))
 
 
 def eval_model(p: Profile, side: TrainSide, inputs: Inputs):
@@ -195,6 +208,8 @@ def eval_model(p: Profile, side: TrainSide, inputs: Inputs):
 @dataclass
 class TrainResult:
     step_s: list
+    #: durations of the evaluation passes run between steps
+    eval_s: list
     pairs: int
     losses_finite: bool
     steps: int
@@ -202,15 +217,17 @@ class TrainResult:
     kept: dict | None = None
 
 
-def run_training(side: TrainSide, budget_s: float, min_steps: int = 5,
+def run_training(side: TrainSide, budget_s: float,
                  recorder: SpanRecorder | None = None,
-                 keep_at: int = 0) -> TrainResult:
-    """Train for ``budget_s`` seconds and at least ``min_steps`` steps;
-    with ``keep_at`` > 0 also copy the parameters after that step."""
-    step_s, pairs, finite, kept = [], 0, True, None
+                 keep_at: int = 0, evaluate=None) -> TrainResult:
+    """Train for ``budget_s`` seconds and at least ``MIN_TRAIN_STEPS``
+    steps; with ``keep_at`` > 0 also copy the parameters after that step
+    (and train at least that many steps).  ``evaluate()`` returns the
+    duration of one pass and runs after every ``EVAL_EVERY`` steps."""
+    step_s, pairs, finite, kept, eval_s = [], 0, True, None, []
     trainer = side.trainer
     deadline = time.perf_counter() + budget_s
-    min_steps = max(min_steps, keep_at)
+    min_steps = max(MIN_TRAIN_STEPS, keep_at)
     while len(step_s) < min_steps or time.perf_counter() < deadline:
         if recorder is not None:
             batch = recorder.call("data.sampling.next", next, side.stream)
@@ -227,26 +244,27 @@ def run_training(side: TrainSide, budget_s: float, min_steps: int = 5,
         if len(step_s) == keep_at:
             trainer.optimizer.flush()
             kept = side.model.state_dict()
+        if evaluate is not None and len(step_s) % EVAL_EVERY == 0:
+            eval_s.append(evaluate())
     trainer.optimizer.flush()
-    return TrainResult(step_s, pairs, finite, len(step_s), kept)
+    return TrainResult(step_s, eval_s, pairs, finite, len(step_s), kept)
 
 
-def run_evaluation(p: Profile, side: TrainSide, inputs: Inputs,
-                   repeats: int, min_s: float):
-    times, ndcg = [], None
-    while len(times) < repeats or sum(times) < min_s:
-        model = eval_model(p, side, inputs)
-        # Each pass pays full propagation, as a periodic evaluation
-        # right after a training step does.
-        invalidate = getattr(model, "invalidate_propagation_cache", None)
-        if invalidate is not None:
-            invalidate()
-        t0 = time.perf_counter()
-        result = side.evaluator.evaluate(model)
-        times.append(time.perf_counter() - t0)
-        ndcg = result.metrics["ndcg@20"] if ndcg is None else ndcg
-    users = len(result.evaluated_users)
-    return users, times, ndcg
+def eval_pass(p: Profile, side: TrainSide, inputs: Inputs):
+    """One timed full-ranking pass: (seconds, ``EvalResult``)."""
+    model = eval_model(p, side, inputs)
+    # The pass pays full propagation, as a periodic evaluation right
+    # after a training step does, and leaves nothing cached for the
+    # next training step.
+    invalidate = getattr(model, "invalidate_propagation_cache", None)
+    if invalidate is not None:
+        invalidate()
+    t0 = time.perf_counter()
+    result = side.evaluator.evaluate(model)
+    took = time.perf_counter() - t0
+    if invalidate is not None:
+        invalidate()
+    return took, result
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +277,8 @@ def _tables(side: TrainSide):
 
 def publish(p: Profile, side: TrainSide, inputs: Inputs,
             out: pathlib.Path):
-    """Export the trained model and open the service over it."""
+    """Export the trained model and open the service over it (cold: the
+    first requests build the index's lazy tables)."""
     if p.on_disk:
         users, items = _tables(side)
         export_sharded_source_snapshot(users, items, inputs.train_data, out,
@@ -273,8 +292,6 @@ def publish(p: Profile, side: TrainSide, inputs: Inputs,
         service = RecommendationService(
             snapshot, index=build_ann_index(snapshot, out / "ann"),
             cache_size=p.cache_size)
-    # Warm BLAS and the index's lazy tables.
-    service.recommend(np.arange(min(256, p.num_users)), k=K)
     return service
 
 
@@ -415,11 +432,14 @@ def final_recall(p: Profile, service, versions: Versions,
     rng = np.random.default_rng([seed, 3])
     users = np.sort(rng.choice(p.num_users, size=CHECK_USERS,
                                replace=False))
-    served = service.recommend(users, k=K)
     reference = versions.reference(service.snapshot.version)
     if reference is None:
         reference = ExactTopKIndex(service.snapshot)
-    exact = reference.topk(users, k=K).items
+    served, exact = [], []
+    for chunk in np.array_split(users, CHECK_USERS // CHECK_CHUNK):
+        served.extend(service.recommend(chunk, k=K))
+        exact.append(reference.topk(chunk, k=K).items)
+    exact = np.concatenate(exact)
     overlap = [len(set(rec.items.tolist()) & set(exact[i].tolist()))
                for i, rec in enumerate(served)]
     mismatched = 0

@@ -22,6 +22,8 @@ import time
 
 import numpy as np
 
+_MISSING = object()
+
 
 class Span:
     __slots__ = ("sid", "name", "start", "end", "parent", "rid")
@@ -99,10 +101,10 @@ class SpanRecorder:
         ``count(args, kwargs, result)`` may return a number to add to
         the counter of the same name.
         """
-        # Only a class's own attribute is put back on close; an
-        # inherited one (and any instance patch) is simply deleted.
-        original = (owner.__dict__.get(attr) if isinstance(owner, type)
-                    else None)
+        # An attribute the owner itself holds (a class's or a module's
+        # function) is put back on close; a patch that only shadows an
+        # inherited or class attribute is deleted again.
+        original = getattr(owner, "__dict__", {}).get(attr, _MISSING)
         target = getattr(owner, attr)
         recorder = self
 
@@ -119,10 +121,10 @@ class SpanRecorder:
     def close(self) -> None:
         """Undo every patch, newest first."""
         for owner, attr, original in reversed(self._patches):
-            if original is not None:
-                setattr(owner, attr, original)
-            else:
+            if original is _MISSING:
                 delattr(owner, attr)
+            else:
+                setattr(owner, attr, original)
         self._patches.clear()
 
     # ------------------------------------------------------------------

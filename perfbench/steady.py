@@ -6,7 +6,7 @@ Runs ``perfbench/run.py`` once per seed (one at a time), then prints
 each metric's median, first and third quartile (as
 ``statistics.quantiles(values, n=4)`` gives them) and the quartile
 spread as a share of the median, next to the metric's bound from
-``BENCHMARK.json``.  ``--json`` also writes the raw values.
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -35,26 +35,22 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", default="1-10")
     parser.add_argument("--seconds", type=float, default=None)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--json", type=pathlib.Path, default=None)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds or spec["run_seconds"]
     bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
     values: dict[str, list[float]] = {}
-    runs = []
     for seed in seed_list(args.seeds):
         proc = subprocess.run(
             [sys.executable, str(HERE / "run.py"), "--workload",
              args.workload, "--seed", str(seed), "--seconds", str(seconds),
-             "--trace", str(args.trace)],
+             "--trace", "0"],
             cwd=ROOT, capture_output=True, text=True, timeout=600)
         if proc.returncode != 0:
             print(f"seed {seed}: exit {proc.returncode}\n{proc.stderr}",
                   file=sys.stderr)
             return 1
         result = json.loads(proc.stdout.strip().splitlines()[-1])
-        runs.append({"seed": seed, **result})
         print(f"seed {seed}: correct={result['correct']} "
               f"failed={result['failed']}/{result['attempted']}",
               file=sys.stderr)
@@ -73,8 +69,6 @@ def main(argv=None) -> int:
         flag = "" if bound is None or spread < bound / 3 else "  <-- wide"
         print(f"{name:36} {med:12.4f} {q1:12.4f} {q3:12.4f} "
               f"{spread:7.3f} {bound if bound is not None else '':>6}{flag}")
-    if args.json:
-        args.json.write_text(json.dumps(runs, indent=1))
     return 0
 
 

@@ -29,7 +29,8 @@ MAX_BACKLOG = 256
 #: a slow spell of the machine does not fall on one level only
 SEGMENTS = 4
 #: share of the serving time given to each level (the ladder's share
-#: is split evenly over its rungs)
+#: is split evenly over its rungs); the untraced run serves only the
+#: refresh level and trains for the rest of the time
 SERVE_SPLIT = {"light": 0.4, "heavy": 0.25, "ladder": 0.2, "refresh": 0.15}
 
 
@@ -59,12 +60,15 @@ def _timed(fn):
 
 
 def _setup_train(p, inputs, seed, repeats):
+    """Build the train side ``repeats`` times, timing construction only;
+    the warm-up steps of the side kept run after the timer."""
     times, side = [], None
     for _ in range(repeats):
         side = None
         gc.collect()
         side, took = _timed(lambda: P.build_train_side(p, inputs, seed))
         times.append(took)
+    P.warm_up(side)
     return side, times
 
 
@@ -101,24 +105,39 @@ def run(p, seed: int, seconds: float, trace: bool, work, out_dir) -> dict:
     repeats = 1 if trace else P.SETUP_REPEATS
     side, setup_train = _setup_train(p, inputs, seed, repeats)
     phase("train set-up")
-    train_budget = seconds * p.train_share
-    serve_budget = seconds - train_budget
+    serve_budget = seconds * (1.0 - p.train_share)
+    # The light, heavy and ladder levels feed per-layer metrics only, so
+    # the untraced run skips them and gives their time to training.
+    train_budget = (seconds - serve_budget) if trace else \
+        seconds - serve_budget * SERVE_SPLIT["refresh"]
     rec = SpanRecorder() if trace else None
 
     # -- training ------------------------------------------------------
     if trace:
-        plain = P.run_training(side, train_budget / 2)
+        plain = P.run_training(side, train_budget / 2,
+                               keep_at=P.PUBLISH_STEP)
         P.install_train_spans(rec, side, p)
+        before = P.minor_faults()
         train = P.run_training(side, train_budget / 2, recorder=rec)
+        faults = {"train": (P.minor_faults() - before) / train.steps}
         tally.add(plain.steps, not plain.losses_finite, "non-finite loss")
+        kept = plain.kept
     else:
-        train = P.run_training(side, train_budget, keep_at=p.publish_step)
-        side.model.load_state_dict(train.kept)
+        train = P.run_training(
+            side, train_budget, keep_at=P.PUBLISH_STEP,
+            evaluate=lambda: P.eval_pass(p, side, inputs)[0])
+        kept = train.kept
     tally.add(train.steps, not train.losses_finite, "non-finite loss")
+    # Both modes evaluate and serve the same model: the one after
+    # PUBLISH_STEP steps.
+    side.model.load_state_dict(kept)
 
-    users, eval_times, ndcg = P.run_evaluation(
-        p, side, inputs, 1 if trace else P.EVAL_REPEATS,
-        0.0 if trace else P.EVAL_MIN_S)
+    before = P.minor_faults()
+    took, result = P.eval_pass(p, side, inputs)
+    if trace:
+        faults["eval"] = P.minor_faults() - before
+    eval_times = train.eval_s + [took]
+    users, ndcg = len(result.evaluated_users), result.metrics["ndcg@20"]
     tally.add(len(eval_times))
     if p.backbone == "lightgcn":
         tally.add(1, ndcg < NDCG_FLOOR, f"ndcg@20 {ndcg:.4f} < floor")
@@ -149,7 +168,8 @@ def run(p, seed: int, seconds: float, trace: bool, work, out_dir) -> dict:
                           draw, rng)
         phase("warm-up")
         serve = Serve(p, service, versions, draw, rng, serve_budget, tally)
-        out = serve.traced(rec) if trace else serve.plain()
+        out = serve.traced(rec) if trace else \
+            {"refresh": serve.refresh_level()}
         phase("serve levels")
         recall, checked, mismatched = P.final_recall(p, service, versions,
                                                      seed)
@@ -160,7 +180,7 @@ def run(p, seed: int, seconds: float, trace: bool, work, out_dir) -> dict:
     if trace:
         rec.dump(out_dir / f"trace-{p.name}-{seed}.json")
         metrics = _layer_metrics(p, rec, train, plain, users, eval_times,
-                                 ndcg, out, tally)
+                                 ndcg, out, tally, faults)
     else:
         metrics = {
             "setup_s": metric(median(setup_train) + median(setup_serve),
@@ -169,7 +189,6 @@ def run(p, seed: int, seconds: float, trace: bool, work, out_dir) -> dict:
             "train_pairs_per_s": metric(P.BATCH / median(train.step_s),
                                         "1/s"),
             "eval_users_per_s": metric(users / median(eval_times), "1/s"),
-            "p50_ms.light": metric(out["light"].p50, "ms"),
             "recall_at_10": metric(recall, "ratio"),
             "refresh_p50_ms": metric(median(out["refresh"].refresh_ms),
                                      "ms"),
@@ -209,7 +228,9 @@ class Serve:
                        f"only {len(level.refresh_ms)} refreshes landed")
         return level
 
-    def plain(self, refresh: bool = True) -> dict:
+    def levels(self) -> dict:
+        """Light and heavy levels in alternating segments, then the
+        goodput ladder, all untraced."""
         segments = {"light": [], "heavy": []}
         for _ in range(SEGMENTS):
             for name, share in (("light", 0.25), ("heavy", 0.75)):
@@ -227,20 +248,22 @@ class Serve:
             self.draw, self.rng, max_backlog=MAX_BACKLOG)
         # The rung that missed the limit is the probe that found
         # capacity; its shed requests are its measurement, not a
-        # failure of the run.
-        topped = out["goodput"] >= P.LADDER[-1] * self.cap
-        for level in rungs if topped else rungs[:-1]:
-            self.tally.add(level.sent, level.failed,
-                           f"{level.name}: shed or error")
+        # failure of the run.  Its errors still are.
+        probe = None if rungs[-1].meets_limit(MAX_BACKLOG) else rungs[-1]
+        for level in rungs:
+            if level is probe:
+                self.tally.add(level.sent, level.errors,
+                               f"{level.name}: error")
+            else:
+                self.tally.add(level.sent, level.failed,
+                               f"{level.name}: shed or error")
         self.tally.add(1, out["goodput"] <= 0, "no ladder rung met the limit")
-        if refresh:
-            out["refresh"] = self.refresh_level()
         return out
 
     def traced(self, rec) -> dict:
         """The untraced light/heavy/ladder sequence, then a traced heavy
         level and the traced refresh level."""
-        out = {"plain": self.plain(refresh=False)}
+        out = {"plain": self.levels()}
         before = _serve_counters(self.service)
         P.install_serve_spans(rec, self.p, self.service)
         out["heavy"] = self.level("heavy.traced", 0.75, self.dur["heavy"])
@@ -279,7 +302,7 @@ def _delta(after: dict, before: dict) -> dict:
 
 
 def _layer_metrics(p, rec, train, plain, users, eval_times, ndcg, out,
-                   tally) -> dict:
+                   tally, faults) -> dict:
     self_ms = rec.self_times_ms()
     # Training layers also run inside evaluation passes (propagation is
     # memoized there): take their figures from training steps only.
@@ -323,9 +346,11 @@ def _layer_metrics(p, rec, train, plain, users, eval_times, ndcg, out,
                                         "ms"),
         "data.source.pairs_read": metric(
             rec.counts["data.source.pairs"] / max(train.steps, 1), "count"),
+        "train.minor_faults_per_step": metric(faults["train"], "count"),
         "eval.evaluate_ms": metric(median(eval_times) * 1e3, "ms"),
         "eval.users": metric(users, "count"),
         "eval.ndcg_at_20": metric(ndcg, "ratio"),
+        "eval.minor_faults_per_pass": metric(faults["eval"], "count"),
         "serve.runtime.queue_ms.p50": metric(pct(heavy.queue_ms, 50), "ms"),
         "serve.runtime.queue_ms.p99": metric(pct(heavy.queue_ms, 99), "ms"),
         "serve.runtime.service_ms.p50": metric(pct(heavy.service_ms, 50),
@@ -382,6 +407,7 @@ def _layer_metrics(p, rec, train, plain, users, eval_times, ndcg, out,
             if plain_serve["heavy"].p50 else 0.0, "ratio"),
         # Measured untraced, like the end-to-end metrics, but too noisy
         # on a shared 2-core machine to carry a regression bound.
+        "serve.p50_ms.light": metric(plain_serve["light"].p50, "ms"),
         "serve.p99_ms.light": metric(plain_serve["light"].p99, "ms"),
         "serve.p50_ms.heavy": metric(plain_serve["heavy"].p50, "ms"),
         "serve.p99_ms.heavy": metric(plain_serve["heavy"].p99, "ms"),
