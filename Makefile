@@ -6,7 +6,7 @@
 #   make ci              strict verify, exactly what .github/workflows/ci.yml runs
 #   make bench           regenerate BENCH_fastpath.json + BENCH_serve.json
 #   make bench-<suite>   regenerate one registry suite (fastpath, train,
-#                        serve, ann, latency, refresh, obs, scale) via
+#                        serve, ann, refresh, obs, faults, scale) via
 #                        `repro bench <suite>`; see repro.experiments.bench
 #   make docs-check      just the README/docs reference checker
 #   make bench-check     just the benchmark JSON schema validator
@@ -14,7 +14,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify verify-slow test ci docs-check bench-check bench bench-fastpath bench-train bench-serve bench-ann bench-latency bench-refresh bench-obs bench-faults bench-scale
+.PHONY: verify verify-slow test ci docs-check bench-check bench bench-fastpath bench-train bench-serve bench-ann bench-refresh bench-obs bench-faults bench-scale
 
 verify: docs-check bench-check
 	$(PYTHON) -m pytest -x -q
@@ -46,9 +46,6 @@ bench-serve:
 
 bench-ann:
 	$(PYTHON) -m repro.cli bench ann --out BENCH_ann.json
-
-bench-latency:
-	$(PYTHON) -m repro.cli bench latency --out BENCH_latency.json
 
 bench-refresh:
 	$(PYTHON) -m repro.cli bench refresh --out BENCH_refresh.json

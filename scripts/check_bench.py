@@ -16,11 +16,9 @@ suite there automatically extends this validator.  The rules per file:
   grad_mode/num_items/ms_per_step columns; ``serve`` +
   ``serve_sharded`` for the serve file; ``ann`` + ``ann_baseline`` for
   the ANN frontier, where every ``ann`` row must carry the
-  nlist/nprobe/recall/users_per_s columns; ``latency`` for the
-  tail-latency frontier, where every row must carry the
-  offered_qps/achieved_qps/p50_ms/p99_ms/shed_rate columns;
-  ``refresh`` for the live-refresh churn sweep, where every row must
-  carry the churn_fraction/rows_changed/delta_apply_ms/ivf_update_ms/
+  nlist/nprobe/recall/users_per_s columns; ``refresh`` for the
+  live-refresh churn sweep, where every row must carry the
+  churn_fraction/rows_changed/delta_apply_ms/ivf_update_ms/
   ivf_rebuild_ms/swap_pause_ms/requests_during_swap/errors columns;
   ``scale`` for the out-of-core frontier, where every row must carry
   the level/num_users/num_items/ms_per_step/users_per_s/peak_rss_mb

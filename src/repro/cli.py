@@ -10,10 +10,10 @@ Subcommands:
 * ``sweep-tau`` — quick SL temperature sweep on one dataset.
 * ``bench`` — run one registered benchmark suite
   (:mod:`repro.experiments.bench`): ``bench fastpath`` / ``bench
-  train`` / ``bench serve`` / ``bench ann`` / ``bench latency`` /
-  ``bench refresh`` / ``bench scale``, each writing its registry
-  ``BENCH_*.json`` file.  The historical ``perf`` / ``perf-train`` /
-  ``perf-serve`` / ``perf-latency`` / ``perf-refresh`` verbs remain as
+  train`` / ``bench serve`` / ``bench ann`` / ``bench refresh`` /
+  ``bench obs`` / ``bench faults`` / ``bench scale``, each writing its
+  registry ``BENCH_*.json`` file.  The historical ``perf`` /
+  ``perf-train`` / ``perf-serve`` / ``perf-refresh`` verbs remain as
   deprecated aliases; ``perf-scale`` is a supported shorthand for
   ``bench scale``.
 * ``export`` — train (or load a checkpoint) and freeze the model into a

@@ -172,34 +172,6 @@ def _configure_ann(parser) -> None:
     parser.add_argument("--out", default="BENCH_ann.json")
 
 
-def _configure_latency(parser) -> None:
-    parser.add_argument("--dataset", default="yelp2018-small",
-                        choices=dataset_names())
-    parser.add_argument("--model", default="mf", choices=model_names())
-    parser.add_argument("--loss", default="bsl", choices=loss_names())
-    parser.add_argument("--epochs", type=int, default=8)
-    parser.add_argument("--dim", type=int, default=64)
-    parser.add_argument("--k", type=int, default=DEFAULT_TOP_K)
-    parser.add_argument("--start-qps", type=float, default=200.0,
-                        help="offered load of the first sweep level")
-    parser.add_argument("--qps-step", type=float, default=2.0,
-                        help="multiplicative step between levels")
-    parser.add_argument("--max-levels", type=int, default=8)
-    parser.add_argument("--requests-per-level", type=int, default=512)
-    parser.add_argument("--saturation-ratio", type=float, default=0.9,
-                        help="stop once achieved/offered drops below")
-    parser.add_argument("--slo-ms", type=float, default=50.0,
-                        help="runtime p99 latency target")
-    parser.add_argument("--max-queue", type=int, default=256,
-                        help="admission-queue bound (sheds past it)")
-    parser.add_argument("--initial-batch", type=int, default=8)
-    parser.add_argument("--max-batch", type=int, default=256)
-    parser.add_argument("--window", type=int, default=64,
-                        help="completions between batch adaptations")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="BENCH_latency.json")
-
-
 def _configure_obs(parser) -> None:
     parser.add_argument("--dataset", default="yelp2018-small",
                         choices=dataset_names())
@@ -388,25 +360,6 @@ def run_legacy_perf_serve(args) -> int:
     return 0
 
 
-def _run_latency(args) -> int:
-    from repro.experiments.perf import (LatencyPerfConfig, run_latency_suite,
-                                        summarize_latency, write_report)
-    config = LatencyPerfConfig(
-        dataset=args.dataset, model=args.model, loss=args.loss,
-        epochs=args.epochs, dim=args.dim, k=args.k,
-        start_qps=args.start_qps, qps_step=args.qps_step,
-        max_levels=args.max_levels,
-        requests_per_level=args.requests_per_level,
-        saturation_ratio=args.saturation_ratio, slo_ms=args.slo_ms,
-        max_queue=args.max_queue, initial_batch=args.initial_batch,
-        max_batch=args.max_batch, window=args.window, seed=args.seed)
-    payload = run_latency_suite(config)
-    write_report(payload, args.out)
-    print(summarize_latency(payload))
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _run_obs(args) -> int:
     from repro.experiments.perf import (ObsPerfConfig, run_obs_suite,
                                         summarize_obs, write_report)
@@ -549,20 +502,6 @@ SUITES = {suite.name: suite for suite in (
         configure=_configure_ann,
         run=_run_ann),
     BenchSuite(
-        name="latency",
-        help="sweep offered load through the async serving runtime",
-        schema="bsl-latency-bench/v1",
-        output="BENCH_latency.json",
-        required_kinds=frozenset({"latency"}),
-        row_fields={
-            "latency": {"index", "offered_qps", "achieved_qps", "p50_ms",
-                        "p99_ms", "shed_rate", "k", "slo_ms",
-                        "mean_queue_ms", "mean_service_ms"},
-        },
-        make_target="bench-latency",
-        configure=_configure_latency,
-        run=_run_latency),
-    BenchSuite(
         name="refresh",
         help="sweep catalogue churn through the live-refresh path",
         schema="bsl-refresh-bench/v1",
@@ -628,8 +567,7 @@ SUITES = {suite.name: suite for suite in (
 
 #: legacy verb -> suite name, still parsed but steered to ``repro bench``
 DEPRECATED_VERBS = {"perf": "fastpath", "perf-train": "train",
-                    "perf-serve": "serve", "perf-latency": "latency",
-                    "perf-refresh": "refresh"}
+                    "perf-serve": "serve", "perf-refresh": "refresh"}
 
 #: every top-level alias verb (``perf-scale`` is a supported shorthand,
 #: not deprecated)

@@ -28,11 +28,6 @@ PRs:
   throughput as **index-level** ``topk`` users/s over the same request
   stream for both sides (no service cache in either lane) →
   ``BENCH_ann.json``;
-* the **latency suite** trains one cell, exports it and drives the
-  async :class:`~repro.serve.runtime.ServingRuntime` with a paced
-  open-loop load generator, sweeping offered QPS multiplicatively
-  until saturation (throughput collapse or admission shedding) →
-  the p50/p99-vs-offered-load frontier of ``BENCH_latency.json``;
 * the **refresh suite** trains one cell, exports it, then sweeps
   catalogue churn fractions: each level builds a delta
   (:mod:`repro.serve.delta`), times in-memory delta replay,
@@ -52,15 +47,12 @@ Programmatic entry points:
 * :func:`run_serve_suite` — the serving grid; returns the JSON payload.
 * :func:`time_index_topk` — index-level users/s for any top-K index.
 * :func:`run_ann_suite` — the ANN frontier; returns the JSON payload.
-* :func:`run_latency_level` — one offered-QPS level through a runtime.
-* :func:`run_latency_suite` — the latency frontier; returns the payload.
 * :func:`run_refresh_suite` — the live-refresh churn sweep; returns the
   payload.
 
 CLI: ``python -m repro.cli perf`` / ``python -m repro.cli perf-train`` /
-``python -m repro.cli perf-serve`` / ``python -m repro.cli perf-latency``
-(``--ann`` adds the ANN frontier;
-``make bench-train`` / ``make bench-ann`` / ``make bench-latency``) — or
+``python -m repro.cli perf-serve`` (``--ann`` adds the ANN frontier;
+``make bench-train`` / ``make bench-ann``) — or
 ``python benchmarks/perf.py`` / ``python benchmarks/train_perf.py`` /
 ``python benchmarks/serve_perf.py``.
 """
@@ -85,18 +77,17 @@ from repro.train.config import TrainConfig
 from repro.train.trainer import Trainer
 
 __all__ = ["SCHEMA", "SERVE_SCHEMA", "ANN_SCHEMA", "TRAIN_SCHEMA",
-           "LATENCY_SCHEMA", "REFRESH_SCHEMA", "OBS_SCHEMA",
+           "REFRESH_SCHEMA", "OBS_SCHEMA",
            "CLOCK_RESOLUTION_S", "clamp_elapsed",
            "PerfConfig", "ServePerfConfig", "AnnPerfConfig",
-           "TrainPerfConfig", "LatencyPerfConfig", "RefreshPerfConfig",
+           "TrainPerfConfig", "RefreshPerfConfig",
            "ObsPerfConfig", "inflate_catalogue",
            "time_train_steps", "time_eval", "run_perf_suite",
            "run_train_suite", "time_recommend", "time_recommend_sharded",
            "topk_overlap", "run_serve_suite", "time_index_topk",
-           "run_latency_level", "run_latency_suite", "run_refresh_suite",
-           "run_ann_suite", "run_obs_suite", "write_report", "summarize",
-           "summarize_serve", "summarize_ann", "summarize_train",
-           "summarize_latency", "summarize_refresh", "summarize_obs"]
+           "run_refresh_suite", "run_ann_suite", "run_obs_suite",
+           "write_report", "summarize", "summarize_serve", "summarize_ann",
+           "summarize_train", "summarize_refresh", "summarize_obs"]
 
 #: Bump the suffix when the payload layout changes incompatibly.
 SCHEMA = "bsl-fastpath-bench/v1"
@@ -107,9 +98,6 @@ SERVE_SCHEMA = "bsl-serve-bench/v2"
 
 #: Schema of the ANN recall/throughput frontier (``BENCH_ann.json``).
 ANN_SCHEMA = "bsl-ann-bench/v1"
-
-#: Schema of the latency-vs-offered-load frontier (``BENCH_latency.json``).
-LATENCY_SCHEMA = "bsl-latency-bench/v1"
 
 #: Schema of the live-refresh churn sweep (``BENCH_refresh.json``).
 REFRESH_SCHEMA = "bsl-refresh-bench/v1"
@@ -946,207 +934,6 @@ def _ann_row(index, exact_truth: np.ndarray, all_users: np.ndarray,
         "index_bytes": int(index.table_bytes),
     })
     return row
-
-
-# ----------------------------------------------------------------------
-# Latency-vs-offered-load frontier (BENCH_latency.json)
-# ----------------------------------------------------------------------
-@dataclass
-class LatencyPerfConfig:
-    """Knobs for one latency-frontier run.
-
-    One (dataset, model, loss) cell is trained and exported; the load
-    generator then drives a :class:`~repro.serve.runtime.ServingRuntime`
-    with **paced open-loop arrivals** — requests submitted on a fixed
-    schedule of ``offered_qps``, regardless of completions, which is
-    what exposes queueing delay — while a **closed-loop sweep
-    controller** raises the offered rate multiplicatively level by
-    level and stops at saturation (achieved throughput falling behind
-    the offered rate, or admission shedding).  Each level is one
-    ``latency`` row: the p50/p99-vs-QPS frontier.
-    """
-
-    dataset: str = "yelp2018-small"
-    model: str = "mf"
-    loss: str = "bsl"
-    epochs: int = 8
-    dim: int = 64
-    k: int = 10
-    #: offered-load sweep: starting QPS × multiplicative step, at most
-    #: ``max_levels`` levels
-    start_qps: float = 200.0
-    qps_step: float = 2.0
-    max_levels: int = 8
-    #: requests submitted per load level
-    requests_per_level: int = 512
-    #: sweep stops once achieved/offered falls below this, or any
-    #: request was shed at admission
-    saturation_ratio: float = 0.9
-    #: runtime knobs (see :class:`~repro.serve.runtime.RuntimeConfig`)
-    slo_ms: float = 50.0
-    max_queue: int = 256
-    initial_batch: int = 8
-    max_batch: int = 256
-    window: int = 64
-    #: 0 = cold path: every unique request costs an index sweep
-    cache_size: int = 0
-    seed: int = 0
-    extra_info: dict = field(default_factory=dict)
-
-
-def run_latency_level(service, users: np.ndarray, *, offered_qps: float,
-                      k: int = 10, runtime_config=None,
-                      timeout_s: float = 60.0) -> dict:
-    """Drive one offered-load level through a fresh serving runtime.
-
-    Submits ``len(users)`` requests at a fixed pace of ``offered_qps``
-    (open loop: the schedule does not wait for completions — a backed-up
-    runtime accumulates queueing delay exactly like a backed-up server),
-    then drains and reports the level's ``latency`` row: achieved
-    throughput, p50/p99 end-to-end latency, shed rate and the mean
-    queue/service decomposition.
-    """
-    from repro.serve.runtime import (OverloadError, RuntimeConfig,
-                                     ServingRuntime, latency_percentile)
-    if offered_qps <= 0:
-        raise ValueError(f"offered_qps must be positive, got {offered_qps}")
-    runtime = ServingRuntime(service, runtime_config or RuntimeConfig())
-    handles = []
-    shed = 0
-    with runtime:
-        start = time.perf_counter()
-        for i, user in enumerate(users.tolist()):
-            # Paced arrivals: sleep until this request's scheduled slot.
-            delay = start + i / offered_qps - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            try:
-                handles.append(runtime.submit(int(user), k=k))
-            except OverloadError:
-                shed += 1
-        for handle in handles:
-            handle.result(timeout=timeout_s)
-        elapsed = clamp_elapsed(time.perf_counter() - start)
-    latencies = [h.latency_ms for h in handles]
-    stats = runtime.stats
-    completed = stats.completed
-    return {
-        "kind": "latency",
-        "index": service.index.kind,
-        "offered_qps": float(offered_qps),
-        "achieved_qps": completed / elapsed,
-        "requests": int(len(users)),
-        "completed": int(completed),
-        "shed": int(shed),
-        "shed_rate": stats.shed_rate,
-        "k": k,
-        "p50_ms": latency_percentile(latencies, 50.0),
-        "p99_ms": latency_percentile(latencies, 99.0),
-        "mean_queue_ms": 1e3 * stats.queue_s / max(completed, 1),
-        "mean_service_ms": 1e3 * stats.service_s / max(completed, 1),
-        "sweep_ms": service.stats.sweep_ms_per_sweep,
-        "mean_batch": stats.mean_batch,
-        "final_batch_size": int(runtime.batch_size),
-        "slo_ms": runtime.config.slo_ms,
-    }
-
-
-def run_latency_suite(config: LatencyPerfConfig | None = None) -> dict:
-    """Train, export and sweep offered load to saturation; return payload.
-
-    Each level runs through a **fresh** runtime (so the batch-size
-    controller and latency window start identically) against a shared
-    cold service.  The sweep stops early once a level saturates —
-    achieved throughput below ``saturation_ratio`` of offered, or any
-    admission shedding — and that level is marked ``saturated``.
-    """
-    from repro.serve import (RecommendationService, export_snapshot,
-                             load_snapshot)
-    from repro.serve.runtime import RuntimeConfig
-    config = config or LatencyPerfConfig()
-    dataset = load_dataset(config.dataset)
-    model = get_model(config.model, dataset, dim=config.dim, rng=config.seed)
-    loss = get_loss(config.loss)
-    train_config = TrainConfig(epochs=config.epochs, eval_every=0, patience=0,
-                               seed=config.seed)
-    Trainer(model, loss, dataset, train_config, evaluator=None).fit()
-
-    # Same duplicate-free request stream as the serve suite: cycled
-    # permutations so a cold service really sweeps per request.
-    rng = np.random.default_rng(config.seed)
-    cycles = -(-config.requests_per_level // dataset.num_users)
-    users = np.concatenate([rng.permutation(dataset.num_users)
-                            for _ in range(cycles)])[
-        :config.requests_per_level].astype(np.int64)
-    runtime_config = RuntimeConfig(
-        slo_ms=config.slo_ms, max_queue=config.max_queue,
-        initial_batch=config.initial_batch, max_batch=config.max_batch,
-        window=config.window)
-    results = []
-    with tempfile.TemporaryDirectory() as tmp:
-        export_snapshot(model, dataset, tmp, model_name=config.model,
-                        extra={"loss": config.loss, "epochs": config.epochs})
-        snapshot = load_snapshot(tmp)
-        service = RecommendationService(snapshot,
-                                        cache_size=config.cache_size)
-        for level in range(config.max_levels):
-            offered = config.start_qps * config.qps_step ** level
-            row = run_latency_level(service, users, offered_qps=offered,
-                                    k=config.k,
-                                    runtime_config=runtime_config)
-            row["level"] = level
-            saturated = (row["shed"] > 0
-                         or row["achieved_qps"]
-                         < config.saturation_ratio * row["offered_qps"])
-            row["saturated"] = bool(saturated)
-            results.append(row)
-            if saturated:
-                break
-        snapshot_version = snapshot.version
-    return {
-        "schema": LATENCY_SCHEMA,
-        "created_unix": time.time(),
-        "dataset": config.dataset,
-        "snapshot_version": snapshot_version,
-        "config": {
-            "model": config.model,
-            "loss": config.loss,
-            "epochs": config.epochs,
-            "dim": config.dim,
-            "k": config.k,
-            "start_qps": config.start_qps,
-            "qps_step": config.qps_step,
-            "max_levels": config.max_levels,
-            "requests_per_level": config.requests_per_level,
-            "saturation_ratio": config.saturation_ratio,
-            "slo_ms": config.slo_ms,
-            "max_queue": config.max_queue,
-            "initial_batch": config.initial_batch,
-            "max_batch": config.max_batch,
-            "window": config.window,
-            "cache_size": config.cache_size,
-            "seed": config.seed,
-            **config.extra_info,
-        },
-        "results": results,
-    }
-
-
-def summarize_latency(payload: dict) -> str:
-    """Human-readable latency frontier for one latency payload."""
-    lines = [f"latency suite on {payload['dataset']} "
-             f"(schema {payload['schema']}, "
-             f"snapshot {payload['snapshot_version']})"]
-    for row in payload["results"]:
-        if row["kind"] != "latency":
-            continue
-        flag = "  << saturated" if row.get("saturated") else ""
-        lines.append(
-            f"  offered {row['offered_qps']:>9,.0f} qps: achieved "
-            f"{row['achieved_qps']:>9,.0f}  p50={row['p50_ms']:.2f} ms  "
-            f"p99={row['p99_ms']:.2f} ms  shed={100 * row['shed_rate']:.1f}%"
-            f"  batch->{row['final_batch_size']}{flag}")
-    return "\n".join(lines)
 
 
 @dataclass

@@ -1,24 +1,23 @@
-"""Async SLO-driven serving runtime: admission, batching, backpressure.
+"""Async serving runtime: admission, queue-drain batching, backpressure.
 
-:class:`ServingRuntime` is the request runtime the ROADMAP's "heavy
-traffic" items call for.  It puts a **bounded admission queue** in front
-of a :class:`~repro.serve.service.RecommendationService` and drains it
-from a background worker thread in **adaptive micro-batches**:
+:class:`ServingRuntime` puts a **bounded admission queue** in front of a
+:class:`~repro.serve.service.RecommendationService` and drains it from a
+background worker thread in **queue-drain micro-batches**:
 
 * **Admission / overload.**  :meth:`ServingRuntime.submit` enqueues one
   request and returns an :class:`AsyncRequest` future.  When the queue
   holds ``max_queue`` requests the submit is **shed** — it raises
   :class:`OverloadError` immediately instead of growing an unbounded
-  backlog whose every entry would blow the latency SLO anyway.  Shed
-  counts are tracked on :class:`RuntimeStats` and reported as the
-  ``shed_rate`` column of the latency benchmark.
-* **Adaptive micro-batch sizing.**  The worker collects up to
-  ``batch_size`` queued requests per sweep.  Every ``window`` completed
-  requests it re-reads the recent p99 latency: while p99 is under
-  ``headroom * slo_ms`` the batch grows multiplicatively (amortizing
-  per-sweep overhead → more throughput), and once p99 crosses the SLO
-  it shrinks multiplicatively (smaller sweeps → lower queueing delay).
-  The batch size always stays inside ``[min_batch, max_batch]``.
+  backlog whose every entry would wait too long anyway.  Shed counts
+  are tracked on :class:`RuntimeStats` (``rejected``, ``shed_rate``).
+* **Queue-drain batching.**  Each worker sweep takes everything queued,
+  up to ``max_batch``: a lone request is served alone, and batches
+  grow only when work is already waiting.  The batch is a function of
+  the queue depth at pickup and nothing else — no controller state
+  carries from one batch to the next — so a slow batch can only make
+  the next one larger, and achieved throughput cannot fall as offered
+  load rises.  This is the greedy dynamic batching of Clipper
+  (Crankshaw et al., NSDI 2017) without its AIMD batch-size loop.
 * **Latency breakdown.**  Each request records wall-clock queue wait
   and in-batch service time; the service underneath accumulates index
   sweep seconds (``ServiceStats.sweep_s``) and — when serving a sharded
@@ -29,15 +28,11 @@ from a background worker thread in **adaptive micro-batches**:
 The runtime never changes *what* is served: results are exactly the
 service's ``recommend`` answers, so every parity/caching contract of
 the layers below carries through unchanged.  The full contract is
-documented in ``docs/serving.md``; the closed-loop load generator in
-:mod:`repro.experiments.perf` (``repro perf-latency``) sweeps offered
-load through this runtime until saturation and commits the
-``BENCH_latency.json`` frontier.
+documented in ``docs/serving.md``.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import queue
 import threading
@@ -93,29 +88,13 @@ def latency_percentile(samples, q: float) -> float:
 
 @dataclasses.dataclass
 class RuntimeConfig:
-    """Knobs of the admission queue and the batch-size controller.
+    """Knobs of the admission queue, the queue-drain batcher and the
+    worker supervisor."""
 
-    ``slo_ms`` is a **p99 target** over the most recent ``window``
-    completed requests — tail latency, not the mean, because heavy
-    traffic is judged by its slowest percentile.
-    """
-
-    #: p99 latency target (enqueue → result ready), milliseconds
-    slo_ms: float = 50.0
     #: admission-queue bound; a full queue sheds instead of growing
     max_queue: int = 1024
-    #: micro-batch size limits and starting point
-    min_batch: int = 1
+    #: most queued requests one sweep drains into a micro-batch
     max_batch: int = 256
-    initial_batch: int = 8
-    #: completed requests between batch-size adaptations (also the
-    #: sliding-window length of the controller's p99 estimate)
-    window: int = 64
-    #: grow the batch while recent p99 < headroom * slo_ms
-    headroom: float = 0.7
-    #: multiplicative batch growth / shrink factors
-    grow: float = 2.0
-    shrink: float = 0.5
     #: idle worker poll interval, milliseconds
     poll_ms: float = 0.2
     #: lifetime latency sample kept for :meth:`ServingRuntime.latency_quantiles`
@@ -139,25 +118,12 @@ class RuntimeConfig:
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, "
                              f"got {self.max_restarts}")
-        if self.slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {self.slo_ms}")
         if self.max_queue <= 0:
             raise ValueError(f"max_queue must be positive, "
                              f"got {self.max_queue}")
-        if not 0 < self.min_batch <= self.max_batch:
-            raise ValueError(f"need 0 < min_batch <= max_batch, got "
-                             f"[{self.min_batch}, {self.max_batch}]")
-        if not self.min_batch <= self.initial_batch <= self.max_batch:
-            raise ValueError(f"initial_batch {self.initial_batch} outside "
-                             f"[{self.min_batch}, {self.max_batch}]")
-        if self.window <= 0:
-            raise ValueError(f"window must be positive, got {self.window}")
-        if not 0 < self.headroom <= 1:
-            raise ValueError(f"headroom must lie in (0, 1], "
-                             f"got {self.headroom}")
-        if self.grow <= 1 or not 0 < self.shrink < 1:
-            raise ValueError(f"need grow > 1 and 0 < shrink < 1, got "
-                             f"grow={self.grow}, shrink={self.shrink}")
+        if self.max_batch <= 0:
+            raise ValueError(f"max_batch must be positive, "
+                             f"got {self.max_batch}")
         if self.poll_ms <= 0:
             raise ValueError(f"poll_ms must be positive, got {self.poll_ms}")
         if self.reservoir_size <= 0:
@@ -166,7 +132,7 @@ class RuntimeConfig:
 
 
 class RuntimeStats(RegistryBackedStats):
-    """Lifetime counters of one runtime (feeds ``BENCH_latency.json``).
+    """Lifetime counters of one runtime.
 
     A registry-backed view (see
     :class:`~repro.obs.stats.RegistryBackedStats`): each field is a
@@ -187,8 +153,6 @@ class RuntimeStats(RegistryBackedStats):
         "batches": "micro-batches executed",
         "queue_s": "per-request admission-to-batch-start wait, summed",
         "service_s": "per-request batch execution time, summed",
-        "grows": "batch-size controller growth steps",
-        "shrinks": "batch-size controller shrink steps",
         "refreshes": "snapshot refreshes applied between batches",
         "refresh_s": "seconds spent applying refreshes",
         "deadline_expired": "requests failed in queue past their deadline",
@@ -269,7 +233,7 @@ class AsyncRequest:
 
 
 class ServingRuntime:
-    """Bounded-queue, SLO-batched front end over a recommendation service.
+    """Bounded-queue, queue-drain-batched front end over a service.
 
     Parameters
     ----------
@@ -278,11 +242,11 @@ class ServingRuntime:
         (sharded or not).  The runtime owns request admission and
         batching; the service keeps owning caching and index sweeps.
     config:
-        :class:`RuntimeConfig`; defaults target a 50 ms p99.
+        :class:`RuntimeConfig`.
 
     Use as a context manager (or call :meth:`start` / :meth:`stop`)::
 
-        with ServingRuntime(service, RuntimeConfig(slo_ms=25.0)) as rt:
+        with ServingRuntime(service, RuntimeConfig(max_batch=64)) as rt:
             handles = [rt.submit(u, k=10) for u in users]
             lists = [h.result(timeout=5.0) for h in handles]
 
@@ -294,18 +258,14 @@ class ServingRuntime:
         self.service = service
         self.config = config or RuntimeConfig()
         self.stats = RuntimeStats()
-        self.batch_size = self.config.initial_batch
         self._queue: queue.Queue = queue.Queue(maxsize=self.config.max_queue)
-        # Recent-window samples feed the batch-size controller only; the
-        # bounded seeded reservoir keeps a lifetime-representative sample
-        # for latency_quantiles() without ever growing RSS.
-        self._latencies: collections.deque = collections.deque(
-            maxlen=self.config.window)
+        # A bounded seeded reservoir keeps a lifetime-representative
+        # sample for latency_quantiles() without ever growing RSS.
         self._reservoir = Reservoir(capacity=self.config.reservoir_size,
                                     seed=self.config.reservoir_seed)
         registry = get_registry()
         # Share the stats view's instance label so one runtime is one
-        # instance across its counters, histograms and gauge.
+        # instance across its counters and histograms.
         labels = self.stats.obs_labels
         self._hist_latency = registry.histogram(
             "serve.runtime.latency_ms",
@@ -313,11 +273,6 @@ class ServingRuntime:
         self._hist_queue = registry.histogram(
             "serve.runtime.queue_ms",
             "admission-to-batch-start wait", labels=labels)
-        self._gauge_batch = registry.gauge(
-            "serve.runtime.batch_size",
-            "current adaptive micro-batch size", labels=labels)
-        self._gauge_batch.set(self.batch_size)
-        self._since_adapt = 0
         self._stop = threading.Event()
         self._worker: threading.Thread | None = None
         self._refresh_lock = threading.Lock()
@@ -375,8 +330,8 @@ class ServingRuntime:
 
         Sheds *immediately* when the queue is at ``max_queue`` — the
         explicit overload contract: a caller sees backpressure at
-        submit time rather than a result that silently missed the SLO
-        after minutes in an unbounded backlog.
+        submit time rather than a result that silently arrives minutes
+        late out of an unbounded backlog.
 
         Raises :class:`WorkerCrashed` when the runtime has fail-stopped
         — new work is refused loudly instead of queueing into a dead
@@ -454,7 +409,6 @@ class ServingRuntime:
             "ok": running and self._fatal is None,
             "running": running,
             "pending": self.pending,
-            "batch_size": self.batch_size,
             "worker_crashes": int(self.stats.worker_crashes),
             "worker_restarts": int(self.stats.worker_restarts),
             "fatal": repr(self._fatal) if self._fatal is not None else None,
@@ -523,8 +477,7 @@ class ServingRuntime:
 
         Computed over a fixed-size seeded reservoir sample of *every*
         completed request (capacity ``config.reservoir_size``), so the
-        estimate covers the whole soak at bounded memory.  The batch-size
-        controller keeps using its separate recent-window deque.
+        estimate covers the whole soak at bounded memory.
         """
         samples = self._reservoir.values()
         return {f"p{q:g}_ms": latency_percentile(samples, q) for q in qs}
@@ -552,7 +505,6 @@ class ServingRuntime:
             "refresh_ms": (1e3 * self.stats.refresh_s / self.stats.refreshes
                            if self.stats.refreshes else 0.0),
             "mean_batch": self.stats.mean_batch,
-            "batch_size": self.batch_size,
         }
         router = getattr(self.service, "router_stats", None)
         if router is not None:
@@ -588,7 +540,10 @@ class ServingRuntime:
                 batch = self._collect_batch()
                 if batch:
                     self._execute(batch)
-                elif self._stop.is_set():
+                # An empty batch is not an empty queue: a sweep whose
+                # every request had expired returns [] too, so exit only
+                # once nothing admitted is left to resolve.
+                elif self._stop.is_set() and self._queue.empty():
                     return
             except BaseException as exc:  # noqa: BLE001 — supervisor
                 self._crash_count += 1
@@ -604,7 +559,7 @@ class ServingRuntime:
                 self.stats.worker_restarts += 1
 
     def _collect_batch(self) -> list[AsyncRequest]:
-        """Up to ``batch_size`` queued requests; [] after an idle poll.
+        """Everything queued, up to ``max_batch``; [] after an idle poll.
 
         Requests whose deadline already passed while queued are failed
         here with :class:`DeadlineExceeded` — the deadline is enforced
@@ -616,7 +571,7 @@ class ServingRuntime:
         except queue.Empty:
             return []
         batch = [first]
-        while len(batch) < self.batch_size:
+        while len(batch) < self.config.max_batch:
             try:
                 batch.append(self._queue.get_nowait())
             except queue.Empty:
@@ -694,36 +649,15 @@ class ServingRuntime:
             request.finished_at = finished
             queue_s += started - request.enqueued_at
             latency_ms = request.latency_ms
-            self._latencies.append(latency_ms)
             self._reservoir.add(latency_ms)
             self._hist_latency.observe(latency_ms)
             self._hist_queue.observe(request.queue_ms)
             request._event.set()
         self.stats.queue_s += queue_s
         self.stats.service_s += (finished - started) * len(batch)
-        self._since_adapt += len(batch)
-        if self._since_adapt >= self.config.window:
-            self._adapt()
-
-    def _adapt(self) -> None:
-        """One batch-size controller step from the recent-window p99."""
-        self._since_adapt = 0
-        config = self.config
-        p99 = latency_percentile(list(self._latencies), 99.0)
-        if p99 > config.slo_ms and self.batch_size > config.min_batch:
-            self.batch_size = max(config.min_batch,
-                                  int(self.batch_size * config.shrink))
-            self.stats.shrinks += 1
-        elif (p99 < config.headroom * config.slo_ms
-              and self.batch_size < config.max_batch):
-            self.batch_size = min(config.max_batch,
-                                  max(self.batch_size + 1,
-                                      int(self.batch_size * config.grow)))
-            self.stats.grows += 1
-        self._gauge_batch.set(self.batch_size)
 
     def __repr__(self) -> str:
         return (f"ServingRuntime(running={self.running}, "
-                f"batch_size={self.batch_size}, pending={self.pending}, "
-                f"slo_ms={self.config.slo_ms}, "
+                f"pending={self.pending}, "
+                f"max_batch={self.config.max_batch}, "
                 f"shed_rate={self.stats.shed_rate:.2%})")

@@ -81,21 +81,6 @@ def _minimal_ann_payload():
     }
 
 
-def _minimal_latency_payload():
-    return {
-        "schema": "bsl-latency-bench/v1",
-        "created_unix": 1.0,
-        "dataset": "tiny",
-        "config": {"k": 5},
-        "results": [
-            {"kind": "latency", "index": "exact", "offered_qps": 100.0,
-             "achieved_qps": 99.0, "p50_ms": 1.0, "p99_ms": 2.0,
-             "shed_rate": 0.0, "k": 5, "slo_ms": 50.0,
-             "mean_queue_ms": 0.5, "mean_service_ms": 0.4},
-        ],
-    }
-
-
 def _minimal_scale_payload():
     return {
         "schema": "bsl-scale-bench/v1",
@@ -167,12 +152,6 @@ class TestRepoFilesPass:
         assert payload["schema"] == "bsl-train-bench/v1"
         kinds = {row["kind"] for row in payload["results"]}
         assert {"train_throughput", "train_quality"} <= kinds
-
-    def test_latency_file_expected(self, check_bench):
-        assert "BENCH_latency.json" in check_bench.EXPECTED
-        payload = json.loads((REPO_ROOT / "BENCH_latency.json").read_text())
-        assert payload["schema"] == "bsl-latency-bench/v1"
-        assert {row["kind"] for row in payload["results"]} == {"latency"}
 
     def test_scale_file_expected(self, check_bench):
         assert "BENCH_scale.json" in check_bench.EXPECTED
@@ -312,44 +291,6 @@ class TestAnnValidation:
         payload = _minimal_ann_payload()
         payload["schema"] = "bsl-ann-bench/v0"
         problems = check_bench.check_payload("BENCH_ann.json", payload)
-        assert any("does not match expected" in p for p in problems)
-
-
-class TestLatencyValidation:
-    def test_good_latency_payload_passes(self, check_bench):
-        problems = check_bench.check_payload("BENCH_latency.json",
-                                             _minimal_latency_payload())
-        assert problems == []
-
-    def test_missing_frontier_columns_rejected(self, check_bench):
-        for column in ("offered_qps", "achieved_qps", "p50_ms", "p99_ms",
-                       "shed_rate", "slo_ms", "mean_queue_ms",
-                       "mean_service_ms"):
-            payload = _minimal_latency_payload()
-            del payload["results"][0][column]
-            problems = check_bench.check_payload("BENCH_latency.json",
-                                                 payload)
-            assert any("missing fields" in p and column in p
-                       for p in problems), column
-
-    def test_missing_latency_section_rejected(self, check_bench):
-        payload = _minimal_latency_payload()
-        payload["results"][0]["kind"] = "other"
-        problems = check_bench.check_payload("BENCH_latency.json", payload)
-        assert any("latency" in p and "required section" in p
-                   for p in problems)
-
-    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
-    def test_non_finite_latency_rejected(self, check_bench, bad):
-        payload = _minimal_latency_payload()
-        payload["results"][0]["p99_ms"] = bad
-        problems = check_bench.check_payload("BENCH_latency.json", payload)
-        assert any("non-finite" in p for p in problems)
-
-    def test_wrong_schema_rejected(self, check_bench):
-        payload = _minimal_latency_payload()
-        payload["schema"] = "bsl-latency-bench/v0"
-        problems = check_bench.check_payload("BENCH_latency.json", payload)
         assert any("does not match expected" in p for p in problems)
 
 

@@ -91,7 +91,8 @@ class TestWorkflowCommandsExist:
     def test_referenced_scripts_exist(self, name):
         for command in _run_commands(_load(name)):
             for token in shlex.split(command):
-                if token.startswith(("scripts/", "benchmarks/", "src/")):
+                if token.startswith(("scripts/", "benchmarks/", "src/",
+                                     "perfbench/")):
                     assert (REPO_ROOT / token).exists(), \
                         f"{name} references missing file {token!r}"
 
@@ -137,14 +138,17 @@ class TestMakefileAndScripts:
         assert "bench train" in makefile
         assert (REPO_ROOT / "benchmarks" / "train_perf.py").is_file()
 
-    def test_bench_latency_target_and_verb_exist(self):
-        """The latency-frontier entry points are wired end to end."""
-        assert "bench-latency" in _make_targets()
-        assert "perf-latency" in _cli_verbs()  # deprecated alias
+    def test_latency_suite_retired_everywhere(self):
+        """The latency suite left with the batch controller it charted:
+        no make target, CLI verb, registry entry, script or file."""
+        from repro.experiments import bench
+        assert "bench-latency" not in _make_targets()
+        assert "perf-latency" not in _cli_verbs()
+        assert "latency" not in bench.suite_names()
         makefile = (REPO_ROOT / "Makefile").read_text()
-        assert "bench latency" in makefile
-        assert (REPO_ROOT / "benchmarks" / "latency_perf.py").is_file()
-        assert (REPO_ROOT / "BENCH_latency.json").is_file()
+        assert "bench latency" not in makefile
+        assert not (REPO_ROOT / "benchmarks" / "latency_perf.py").exists()
+        assert not (REPO_ROOT / "BENCH_latency.json").exists()
 
     def test_bench_refresh_target_and_verbs_exist(self):
         """The live-refresh entry points are wired end to end."""
@@ -181,6 +185,21 @@ class TestMakefileAndScripts:
         assert "perf-scale" in _cli_verbs()
         assert (REPO_ROOT / "benchmarks" / "scale_perf.py").is_file()
         assert (REPO_ROOT / "BENCH_scale.json").is_file()
+
+    def test_ci_slow_runs_perfbench_smoke(self):
+        """The nightly tier runs one traced perfbench workload, whose
+        goodput ladder drives the serving runtime, and fails unless its
+        last stdout line reports correct output and no failed request."""
+        commands = _run_commands(_load("ci-slow.yml"))
+        run = [c for c in commands if "perfbench/run.py" in c]
+        assert len(run) == 1
+        tokens = shlex.split(run[0])
+        for flag, value in (("--workload", "train-lightgcn"),
+                            ("--seed", "1"), ("--seconds", "40"),
+                            ("--trace", "1")):
+            assert tokens[tokens.index(flag) + 1] == value, flag
+        check = commands[commands.index(run[0]) + 1:]
+        assert any('"correct"' in c and '"failed"' in c for c in check)
 
     def test_ci_slow_runs_out_of_core_smoke(self):
         commands = _run_commands(_load("ci-slow.yml"))

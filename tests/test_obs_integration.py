@@ -109,8 +109,7 @@ class TestServiceTrace:
 class TestRuntimeReconciliation:
     def _drive(self, snapshot, n_requests=24):
         service = RecommendationService(snapshot, cache_size=0)
-        config = RuntimeConfig(slo_ms=100.0, initial_batch=4, max_batch=8,
-                               window=8)
+        config = RuntimeConfig(max_batch=8)
         with ServingRuntime(service, config) as runtime:
             handles = [runtime.submit(i % snapshot.manifest.num_users, k=5)
                        for i in range(n_requests)]

@@ -2,11 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.experiments.perf import (PerfConfig, SCHEMA, run_perf_suite,
-                                    summarize, time_eval, time_train_steps,
-                                    write_report)
+from repro.experiments import perf
+from repro.experiments.perf import (CLOCK_RESOLUTION_S, PerfConfig, SCHEMA,
+                                    clamp_elapsed, run_perf_suite, summarize,
+                                    time_eval, time_index_topk,
+                                    time_recommend, time_recommend_sharded,
+                                    time_train_steps, write_report)
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -97,3 +101,76 @@ class TestCLI:
         assert payload["schema"] == SCHEMA
         captured = capsys.readouterr().out
         assert "wrote" in captured
+
+
+class TestMonotonicFloor:
+    """Regression: a too-fast timed section must clamp to one clock tick
+    instead of emitting ``float("inf")`` throughput that
+    ``scripts/check_bench.py`` itself rejects."""
+
+    def test_clamp_floors_at_resolution(self):
+        assert clamp_elapsed(0.0) == CLOCK_RESOLUTION_S
+        assert clamp_elapsed(-1.0) == CLOCK_RESOLUTION_S
+        assert clamp_elapsed(CLOCK_RESOLUTION_S / 2) == CLOCK_RESOLUTION_S
+
+    def test_clamp_passes_real_intervals_through(self):
+        assert clamp_elapsed(0.25) == 0.25
+
+    def test_resolution_positive(self):
+        assert CLOCK_RESOLUTION_S > 0.0
+
+    @pytest.fixture()
+    def frozen_clock(self, monkeypatch):
+        """perf_counter that never advances: every elapsed reads 0.0."""
+        monkeypatch.setattr(perf.time, "perf_counter", lambda: 123.0)
+
+    def test_time_index_topk_finite_on_frozen_clock(self, frozen_clock):
+        class InstantIndex:
+            def topk(self, users, k=10):
+                return None
+
+        row = time_index_topk(InstantIndex(), np.arange(8), batch_size=4,
+                              k=5, repeats=2)
+        assert np.isfinite(row["users_per_s"])
+        assert row["users_per_s"] == pytest.approx(8 / CLOCK_RESOLUTION_S)
+
+    def test_time_recommend_finite_on_frozen_clock(self, frozen_clock):
+        class InstantService:
+            class index:
+                kind = "exact"
+
+            class stats:
+                hit_rate = 0.0
+
+            def recommend(self, users, k=10):
+                return []
+
+        row = time_recommend(InstantService(), np.arange(8), batch_size=4,
+                             k=5, repeats=2)
+        assert np.isfinite(row["users_per_s"])
+
+    def test_time_recommend_sharded_finite_on_frozen_clock(self,
+                                                           frozen_clock):
+        class InstantStats:
+            sweeps = 0
+            merge_s = 0.0
+            merge_fraction = 0.0
+
+            def reset(self):
+                pass
+
+        class InstantIndex:
+            kind = "sharded-exact"
+            per_shard_table_bytes = [128]
+
+        class InstantService:
+            index = InstantIndex()
+            router_stats = InstantStats()
+
+            def recommend(self, users, k=10):
+                return []
+
+        row = time_recommend_sharded(InstantService(), np.arange(8),
+                                     batch_size=4, k=5, repeats=2, shards=2)
+        assert np.isfinite(row["users_per_s"])
+        assert np.isfinite(row["merge_overhead_ms"])

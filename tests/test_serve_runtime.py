@@ -1,5 +1,6 @@
-"""ServingRuntime: admission, shedding, adaptive batching, breakdown."""
+"""ServingRuntime: admission, shedding, queue-drain batching, breakdown."""
 
+import dataclasses
 import threading
 import time
 
@@ -19,21 +20,18 @@ def service(tiny_mf_snapshot):
 
 
 def fast_config(**overrides):
-    """Small queue/window so tests exercise the controller quickly."""
-    defaults = dict(slo_ms=50.0, max_queue=64, initial_batch=4,
-                    max_batch=32, window=8)
+    """Small queue and batch bound so tests exercise both quickly."""
+    defaults = dict(max_queue=64, max_batch=32)
     defaults.update(overrides)
     return RuntimeConfig(**defaults)
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
-        dict(slo_ms=0.0), dict(slo_ms=-1.0), dict(max_queue=0),
-        dict(min_batch=0), dict(min_batch=8, max_batch=4),
-        dict(initial_batch=0), dict(initial_batch=512),
-        dict(window=0), dict(headroom=0.0), dict(headroom=1.5),
-        dict(grow=1.0), dict(shrink=1.0), dict(shrink=0.0),
-        dict(poll_ms=0.0),
+        dict(max_queue=0), dict(max_queue=-1),
+        dict(max_batch=0), dict(max_batch=-4),
+        dict(poll_ms=0.0), dict(poll_ms=-1.0),
+        dict(deadline_ms=-1.0), dict(reservoir_size=0),
     ])
     def test_bad_knobs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -41,7 +39,11 @@ class TestConfigValidation:
 
     def test_defaults_valid(self):
         config = RuntimeConfig()
-        assert config.min_batch <= config.initial_batch <= config.max_batch
+        assert config.max_batch > 0 and config.max_queue > 0
+        assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
+            "max_queue", "max_batch", "poll_ms", "reservoir_size",
+            "reservoir_seed", "deadline_ms", "restart_on_crash",
+            "max_restarts"]
 
 
 class TestSubmitAndResults:
@@ -114,10 +116,12 @@ class TestOverload:
         with pytest.raises(OverloadError, match="shed"):
             runtime.submit(99, k=5)
         assert runtime.stats.rejected == 1
+        assert runtime.stats.admitted + runtime.stats.rejected == 5
         assert runtime.stats.shed_rate == pytest.approx(0.2)
         runtime.start()
         runtime.stop()
-        assert runtime.stats.completed == 4  # shed request never served
+        # every admitted request is served; the shed one never is
+        assert runtime.stats.completed == runtime.stats.admitted == 4
 
     def test_shed_rate_zero_without_traffic(self):
         assert RuntimeStats().shed_rate == 0.0
@@ -154,46 +158,97 @@ class TestLifecycle:
     def test_repr_mentions_state(self, service):
         runtime = ServingRuntime(service, fast_config())
         assert "running=False" in repr(runtime)
-        assert "slo_ms=50.0" in repr(runtime)
+        assert "max_batch=32" in repr(runtime)
+
+
+class _RecordingService:
+    """Delegating wrapper that records every ``recommend`` batch size.
+
+    With ``stall`` set, the first call signals ``entered`` and then
+    blocks until ``release`` is set, so a test can queue work behind a
+    batch in flight deterministically.
+    """
+
+    def __init__(self, inner, stall: bool = False):
+        self._inner = inner
+        self.sizes: list[int] = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        if not stall:
+            self.release.set()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def recommend(self, users, k=10, filter_seen=True):
+        self.sizes.append(len(users))
+        self.entered.set()
+        assert self.release.wait(10.0), "stalled batch never released"
+        return self._inner.recommend(users, k=k, filter_seen=filter_seen)
+
+
+def _greedy_split(queued: int, max_batch: int) -> list[int]:
+    """The batches queue-drain forms from ``queued`` waiting requests."""
+    full, rest = divmod(queued, max_batch)
+    return [max_batch] * full + ([rest] if rest else [])
+
+
+class TestQueueDrainBatching:
+    """Each sweep takes everything queued, up to ``max_batch``: the
+    batch is a function of queue depth alone, never of past batches."""
+
+    def test_queued_backlog_drains_in_max_batches(self, service):
+        recorder = _RecordingService(service)
+        runtime = ServingRuntime(recorder, RuntimeConfig())
+        handles = [runtime.submit(u % 50, k=5) for u in range(300)]
+        runtime.start()
+        runtime.stop()
+        assert recorder.sizes == [256, 44]
+        assert all(h.done for h in handles)
+        assert runtime.stats.batches == 2
+        assert runtime.stats.mean_batch == pytest.approx(150.0)
+
+    @pytest.mark.parametrize("queued", [1, 7, 8, 9, 33])
+    def test_batches_never_exceed_max_batch(self, service, queued):
+        recorder = _RecordingService(service)
+        runtime = ServingRuntime(recorder, fast_config(max_batch=8))
+        for u in range(queued):
+            runtime.submit(u % 50, k=5)
+        runtime.start()
+        runtime.stop()
+        assert recorder.sizes == _greedy_split(queued, 8)
+        assert runtime.stats.completed == queued
+
+    def test_batch_after_a_stall_drains_the_backlog(self, service):
+        """A stalled batch lets the queue grow; the next sweep must take
+        min(queued, max_batch), so a stall can only raise throughput
+        for the backlog behind it, never shrink the batch."""
+        recorder = _RecordingService(service, stall=True)
+        with ServingRuntime(recorder, RuntimeConfig()) as runtime:
+            first = runtime.submit(0, k=5)
+            assert recorder.entered.wait(10.0)
+            backlog = [runtime.submit(u % 50, k=5) for u in range(300)]
+            assert runtime.pending == 300
+            recorder.release.set()
+            for handle in [first, *backlog]:
+                handle.result(timeout=10.0)
+        assert recorder.sizes == [1, 256, 44]
+        assert runtime.stats.completed == 301
 
 
 class TestAdaptiveBatching:
-    def test_batch_grows_under_slo_headroom(self, service):
-        """A fast service leaves p99 far under the SLO: the controller
-        must grow the batch multiplicatively toward max_batch."""
-        config = fast_config(slo_ms=10_000.0, initial_batch=2, max_batch=32,
-                             window=4)
-        with ServingRuntime(service, config) as runtime:
-            for u in range(40):
-                runtime.submit(u % 50, k=5).result(timeout=10.0)
-        assert runtime.stats.grows > 0
-        assert runtime.batch_size > config.initial_batch
-
-    def test_batch_shrinks_when_slo_violated(self, service):
-        """An impossibly tight SLO forces shrink toward min_batch."""
-        config = fast_config(slo_ms=1e-6, initial_batch=16, min_batch=1,
-                             window=4)
-        with ServingRuntime(service, config) as runtime:
-            handles = [runtime.submit(u % 50, k=5) for u in range(40)]
-            for handle in handles:
-                handle.result(timeout=10.0)
-        assert runtime.stats.shrinks > 0
-        assert runtime.batch_size < 16
-
-    def test_batch_stays_within_bounds(self, service):
-        config = fast_config(slo_ms=10_000.0, initial_batch=2, max_batch=8,
-                             window=2)
-        with ServingRuntime(service, config) as runtime:
-            handles = [runtime.submit(u % 50, k=5) for u in range(60)]
-            for handle in handles:
-                handle.result(timeout=10.0)
-        assert config.min_batch <= runtime.batch_size <= config.max_batch
+    """The batch adapts to queue depth alone; what it did stays visible
+    through the batch counters and the latency quantiles."""
 
     def test_adaptation_counters_exposed(self, service):
-        with ServingRuntime(service, fast_config(window=4)) as runtime:
+        with ServingRuntime(service, fast_config()) as runtime:
             for u in range(12):
                 runtime.submit(u, k=5).result(timeout=10.0)
-        assert runtime.stats.grows + runtime.stats.shrinks >= 0
+        # one request in flight at a time: every sweep serves it alone
+        assert runtime.stats.completed == 12
+        assert runtime.stats.batches == 12
+        assert runtime.stats.mean_batch == pytest.approx(1.0)
+        assert runtime.breakdown()["mean_batch"] == pytest.approx(1.0)
         quantiles = runtime.latency_quantiles()
         assert set(quantiles) == {"p50_ms", "p99_ms"}
         assert all(v >= 0.0 for v in quantiles.values())
@@ -206,8 +261,7 @@ class TestBreakdown:
             for handle in handles:
                 handle.result(timeout=10.0)
         breakdown = runtime.breakdown()
-        for term in ("queue_ms", "service_ms", "sweep_ms", "mean_batch",
-                     "batch_size"):
+        for term in ("queue_ms", "service_ms", "sweep_ms", "mean_batch"):
             assert term in breakdown
         assert breakdown["queue_ms"] >= 0.0
         assert breakdown["service_ms"] > 0.0
@@ -359,8 +413,7 @@ class TestQueueDeadlines:
     def test_expired_requests_fail_with_deadline_exceeded(self, service):
         from repro.serve import DeadlineExceeded
         slow = _SlowService(service, 0.05)
-        config = fast_config(deadline_ms=20.0, initial_batch=2,
-                             max_batch=2, window=1024)
+        config = fast_config(deadline_ms=20.0, max_batch=2)
         with ServingRuntime(slow, config) as runtime:
             handles = [runtime.submit(u, k=5) for u in range(8)]
             served = expired = 0
@@ -376,6 +429,25 @@ class TestQueueDeadlines:
         assert served + expired == 8
         assert runtime.stats.deadline_expired == expired
 
+    def test_stop_drains_a_backlog_of_expired_requests(self, service):
+        """Regression: a sweep whose every request had expired returns
+        an empty batch, and the loop used to take that for an empty
+        queue and exit on stop, stranding the rest of the backlog."""
+        from repro.serve import DeadlineExceeded
+        runtime = ServingRuntime(service,
+                                 fast_config(deadline_ms=1.0, max_batch=2))
+        handles = [runtime.submit(u, k=5) for u in range(5)]
+        time.sleep(0.02)  # every deadline is now well past
+        runtime._stop.set()
+        runtime._run()  # the worker loop, on this thread
+        assert all(h.done for h in handles)
+        assert runtime.pending == 0
+        for handle in handles:
+            with pytest.raises(DeadlineExceeded):
+                handle.result(timeout=0)
+        assert runtime.stats.deadline_expired == 5
+        assert runtime.stats.completed == 0
+
     def test_no_deadline_by_default(self, service):
         with ServingRuntime(service, fast_config()) as runtime:
             handle = runtime.submit(0, k=5)
@@ -386,7 +458,7 @@ class TestQueueDeadlines:
 class TestWorkerSupervision:
     def test_service_exception_fails_batch_not_worker(self, service):
         poison = _PoisonService(service, bad=3)
-        config = fast_config(initial_batch=1, max_batch=1)
+        config = fast_config(max_batch=1)
         with ServingRuntime(poison, config) as runtime:
             ok = runtime.submit(0, k=5)
             bad = runtime.submit(3, k=5)
